@@ -18,12 +18,12 @@ use kpt_bdd::{
     BddError, BddSpace, GcPolicy, ReorderPolicy, SymbolicKbp, SymbolicOutcome, SymbolicPredicate,
     SymbolicTransition,
 };
-use kpt_core::{CoreError, Kbp};
+use kpt_core::{escape_hatch, CoreError};
 use kpt_seqtrans::{ModelOptions, StandardModel, SymbolicStandard};
 use kpt_state::{Predicate, StateSpace};
 use kpt_testkit::Criterion;
 use kpt_transformers::sst_frontier_with_stats;
-use kpt_unity::{Program, Statement};
+use kpt_unity::Program;
 
 fn space_with_vars(nvars: usize, dom: u64) -> Arc<StateSpace> {
     let mut b = StateSpace::builder();
@@ -115,45 +115,12 @@ fn seqtrans_cases(c: &mut Criterion, fast: bool) -> Vec<(String, u64, usize, f64
     rows
 }
 
-/// The 159-free-state escape-hatch KBP (the `escape159` registry model).
-fn escape_program() -> Program {
-    let space = StateSpace::builder()
-        .nat_var("i", 80)
-        .unwrap()
-        .bool_var("done")
-        .unwrap()
-        .build()
-        .unwrap();
-    Program::builder("bdd-escape", &space)
-        .init_str("i = 0 && !done")
-        .unwrap()
-        .process("P", ["i"])
-        .unwrap()
-        .statement(
-            Statement::new("inc")
-                .guard_str("i < 79")
-                .unwrap()
-                .assign_str("i", "i + 1")
-                .unwrap(),
-        )
-        .statement(
-            Statement::new("finish")
-                .guard_str("K{P}(i >= 40)")
-                .unwrap()
-                .assign_str("done", "1")
-                .unwrap(),
-        )
-        .build()
-        .unwrap()
-}
-
 /// A KBP with 159 free states: `solve_exhaustive` rejects it (the subset
 /// mask is 64 bits wide), the symbolic iteration converges.
 fn escape_hatch_case(c: &mut Criterion) {
-    let program = escape_program();
-
     // The explicit exhaustive solver cannot touch this instance.
-    let explicit = Kbp::new(program.clone());
+    let explicit = escape_hatch().unwrap();
+    let program = explicit.program().clone();
     let free = explicit.program().init().negate().count();
     assert!(free >= 64, "instance must exceed the subset-mask width");
     match explicit.solve_exhaustive(u64::MAX) {
@@ -260,7 +227,7 @@ fn partition_cases(c: &mut Criterion) -> Vec<(String, usize, usize, f64, f64)> {
                 .program()
                 .clone(),
         ),
-        ("escape159", escape_program()),
+        ("escape159", escape_hatch().unwrap().program().clone()),
     ];
     // One pass: translate, optionally materialize monolithic relations,
     // run the reachability closure and a wp sweep over every statement.

@@ -13,42 +13,8 @@ use std::time::Instant;
 
 use kpt_lint::{lint_program, lint_program_with, Depth, LintOptions};
 use kpt_seqtrans::{figure3_kbp, ModelOptions, StandardModel};
-use kpt_state::StateSpace;
 use kpt_testkit::Criterion;
-use kpt_unity::{Program, Statement};
-
-/// The 159-free-state instance from `bdd_summary`: exhaustive solving is
-/// impossible, but the linter's symbolic pass handles it routinely.
-fn escape_hatch_program() -> Program {
-    let space = StateSpace::builder()
-        .nat_var("i", 80)
-        .unwrap()
-        .bool_var("done")
-        .unwrap()
-        .build()
-        .unwrap();
-    Program::builder("bdd-escape", &space)
-        .init_str("i = 0 && !done")
-        .unwrap()
-        .process("P", ["i"])
-        .unwrap()
-        .statement(
-            Statement::new("inc")
-                .guard_str("i < 79")
-                .unwrap()
-                .assign_str("i", "i + 1")
-                .unwrap(),
-        )
-        .statement(
-            Statement::new("finish")
-                .guard_str("K{P}(i >= 40)")
-                .unwrap()
-                .assign_str("done", "1")
-                .unwrap(),
-        )
-        .build()
-        .unwrap()
-}
+use kpt_unity::Program;
 
 fn models() -> Vec<(&'static str, Program)> {
     let model = StandardModel::build(2, 2, ModelOptions::default()).unwrap();
@@ -67,13 +33,15 @@ fn models() -> Vec<(&'static str, Program)> {
             "seqtrans_fig3",
             figure3_kbp(&model).unwrap().program().clone(),
         ),
-        ("escape159", escape_hatch_program()),
+        (
+            "escape159",
+            kpt_core::escape_hatch().unwrap().program().clone(),
+        ),
     ]
 }
 
 fn main() {
     let (config, _fast) = kpt_bench::report_config("BENCH_lint.json", 5, 15);
-    let config_samples = config.sample_size;
     let mut c = Criterion::with_config(config);
 
     let cases = models();
@@ -81,13 +49,6 @@ fn main() {
     {
         let mut group = c.benchmark_group("lint_full");
         for (label, program) in &cases {
-            // The seqtrans instances pay a multi-second symbolic SI per
-            // run; a couple of samples is plenty for a wall-time report.
-            group.sample_size(if label.starts_with("seqtrans") {
-                2
-            } else {
-                config_samples
-            });
             group.bench_function(format!("lint_{label}"), |b| {
                 b.iter(|| lint_program(program))
             });

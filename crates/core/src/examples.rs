@@ -1,4 +1,5 @@
-//! The paper's counterexample programs, Figures 1 and 2, as constructors.
+//! The paper's counterexample programs, Figures 1 and 2, and the escape-hatch
+//! fixture, as constructors.
 //!
 //! * [`figure1`] — the knowledge-based protocol **with no solution**:
 //!   technically, `ŜP` is not monotone, so the eq. (25) fixpoint need not
@@ -7,6 +8,8 @@
 //!   is **not monotonic in the initial condition**: with `init = ¬y` the
 //!   solution is `¬y` and `true ↦ z` holds; with the *stronger*
 //!   `init = ¬y ∧ x` the solution is `x` and `true ↦ z` fails.
+//! * [`escape_hatch`] — a 159-free-state KBP too large for the exhaustive
+//!   solver, the fixture for the symbolic backend and the linter at scale.
 //!
 //! These are regenerated end-to-end by the `figure1_no_solution` and
 //! `figure2_nonmonotonic` examples and verified in this module's tests
@@ -86,6 +89,46 @@ pub fn figure2(init_src: &str) -> Result<Kbp, UnityError> {
             Statement::new("set_z")
                 .guard_str("K{P1}(~y)")?
                 .assign_str("z", "1")?,
+        )
+        .build()?;
+    Ok(Kbp::new(program))
+}
+
+/// The symbolic-backend escape hatch: a counter `i < 80` with a `done`
+/// flag raised once process `P` knows `i ≥ 40`.
+///
+/// ```text
+/// var i : 0..79, done : boolean
+/// processes P = {i}
+/// init i = 0 ∧ ¬done
+/// assign
+///   i := i + 1 if i < 79
+/// ⫾ done := true if K_P(i ≥ 40)
+/// ```
+///
+/// 159 of its 160 states are free, past the 64-bit subset mask of
+/// `solve_exhaustive` (`SearchTooLarge`); the iterative and symbolic
+/// solvers converge on it.
+///
+/// # Errors
+/// Never fails in practice; the `Result` propagates builder plumbing.
+pub fn escape_hatch() -> Result<Kbp, UnityError> {
+    let space = StateSpace::builder()
+        .nat_var("i", 80)?
+        .bool_var("done")?
+        .build()?;
+    let program = Program::builder("bdd-escape", &space)
+        .init_str("i = 0 && !done")?
+        .process("P", ["i"])?
+        .statement(
+            Statement::new("inc")
+                .guard_str("i < 79")?
+                .assign_str("i", "i + 1")?,
+        )
+        .statement(
+            Statement::new("finish")
+                .guard_str("K{P}(i >= 40)")?
+                .assign_str("done", "1")?,
         )
         .build()?;
     Ok(Kbp::new(program))

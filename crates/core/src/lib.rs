@@ -62,7 +62,7 @@ mod zoo;
 
 pub use context::KnowledgeContext;
 pub use error::CoreError;
-pub use examples::{figure1, figure2, figure2_space};
+pub use examples::{escape_hatch, figure1, figure2, figure2_space};
 pub use kbp::{IterativeOutcome, Kbp, SolutionSet};
 pub use knowledge::{KnowledgeOperator, KnowsTransformer};
 pub use muddy::{

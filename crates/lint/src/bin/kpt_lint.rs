@@ -4,14 +4,12 @@
 //! Usage: `kpt_lint [--json] [--depth D] [--deny CODES] [--allow CODES]
 //! [--no-symbolic] [NAME | FILE.kpt ...]`
 //!
-//! With no arguments every registered model is linted — in parallel over
-//! the kpt-testkit worker pool (`KPT_THREADS` controls the width; reports
-//! stay in registry order and are bit-identical to a serial run). An
-//! argument that names an existing file (or ends in `.kpt`) is read and
-//! linted through [`kpt_lint::lint_source`] — the same entry point
-//! kpt-server's `lint` request uses — with parse errors *and* findings
-//! rendered as caret diagnostics against the source. Other arguments
-//! select registry models by name.
+//! With no arguments every registered model is linted, in registry
+//! order. An argument that names an existing file (or ends in `.kpt`) is
+//! read and linted through [`kpt_lint::lint_source`] — the same entry
+//! point kpt-server's `lint` request uses — with parse errors *and*
+//! findings rendered as caret diagnostics against the source. Other
+//! arguments select registry models by name.
 //!
 //! * `--json` prints one JSON array of lint reports (spans included)
 //!   instead of the human summary.

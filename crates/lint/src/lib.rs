@@ -22,9 +22,10 @@
 //!    syntactic Figure-1 circularity in `O(statements)`), and
 //!    unimplementable-knowledge flow (`KPT012`, a `K{i}` guard over
 //!    variables outside `V_i`'s reachable information).
-//! 4. [`symbolic`] — semantic checks through the `kpt-bdd` backend against
-//!    the strongest invariant of the *knowledge-erased* over-approximation:
-//!    guards unsatisfiable under `SI` (dead code), write-write races on
+//! 4. [`symbolic`] — semantic checks against the strongest invariant of
+//!    the *knowledge-erased* over-approximation, computed exactly (eq. 5)
+//!    on the erased program's compiled explicit tables: guards
+//!    unsatisfiable under `SI` (dead code), write-write races on
 //!    overlapping guards, and the eq.-25 knowledge-circularity analysis.
 //!
 //! The knowledge erasure is sound by eq. (14) (`[K_i p ⇒ p]`): replacing a
@@ -62,7 +63,7 @@ mod symbolic;
 mod view;
 
 pub use erase::{erase_knowledge, erased_program};
-pub use registry::{lint_registry, lint_registry_with_threads, registry, RegistryCase};
+pub use registry::{lint_registry, registry, RegistryCase};
 
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -118,7 +119,7 @@ pub enum DiagnosticCode {
     KnowledgeCircularity,
     /// `KPT010` — interval abstract interpretation proves the guard
     /// constant-false over every reachable value box: dead code, shown
-    /// without touching the BDD engine (always implies `KPT007`).
+    /// without computing `SI` (always implies `KPT007`).
     IntervalDeadGuard,
     /// `KPT011` — the statement's knowledge guard sits on a cyclic
     /// strongly-connected component of the read/write dependency graph
@@ -396,10 +397,9 @@ pub struct LintOptions {
     pub dataflow: bool,
     /// Run the symbolic checks (KPT007-KPT009).
     pub symbolic: bool,
-    /// Live-node budget for the symbolic pass's fixpoint. When the budget
-    /// trips, the symbolic findings are skipped (`symbolic_ran` stays
-    /// `false`) instead of letting the BDD engine grow without bound —
-    /// the fuzz campaign's setting.
+    /// Has no effect: the symbolic pass computes the erased `SI` on
+    /// explicit tables, which need no node budget. Kept so existing
+    /// callers still compile.
     pub symbolic_node_budget: Option<usize>,
 }
 
@@ -443,9 +443,9 @@ pub struct LintReport {
     /// Whether the dataflow pass ran (skipped when the shallower passes
     /// report errors, or when disabled).
     pub dataflow_ran: bool,
-    /// Whether the symbolic pass ran (it is skipped when the declaration
-    /// pass already found errors — the erased program would not compile —
-    /// or its node budget tripped).
+    /// Whether the symbolic pass ran (skipped when the shallower passes
+    /// report errors — the erased program would not compile — or when
+    /// disabled).
     pub symbolic_ran: bool,
 }
 
@@ -614,9 +614,9 @@ pub fn lint_program(program: &Program) -> LintReport {
 ///
 /// The declaration and view passes are purely syntactic. The dataflow pass
 /// runs BDD-free abstract interpretation; the symbolic pass computes the
-/// strongest invariant of the knowledge-erased over-approximation through
-/// `kpt-bdd`. Both deeper passes are skipped (with `dataflow_ran` /
-/// `symbolic_ran` false) when the earlier passes report errors — the
+/// exact strongest invariant of the knowledge-erased over-approximation on
+/// its compiled explicit tables. Both deeper passes are skipped (with
+/// `dataflow_ran` / `symbolic_ran` false) when the earlier passes report errors — the
 /// erased program would not compile — or when disabled in `options`.
 pub fn lint_program_with(program: &Program, options: &LintOptions) -> LintReport {
     let mut span = kpt_obs::span("lint.program");
@@ -638,10 +638,10 @@ pub fn lint_program_with(program: &Program, options: &LintOptions) -> LintReport
         let _pass = kpt_obs::span("lint.pass.dataflow");
         dataflow::check(program, &mut diagnostics);
     }
-    let mut symbolic_ran = options.symbolic && !errors_so_far;
+    let symbolic_ran = options.symbolic && !errors_so_far;
     if symbolic_ran {
         let _pass = kpt_obs::span("lint.pass.symbolic");
-        symbolic_ran = symbolic::check(program, options.symbolic_node_budget, &mut diagnostics);
+        symbolic::check(program, &mut diagnostics);
     }
     kpt_obs::counter!("lint.findings").add(diagnostics.len() as u64);
     span.field("program", program.name())

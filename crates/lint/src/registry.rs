@@ -1,15 +1,10 @@
-//! The in-tree model registry and the parallel registry lint driver.
+//! The in-tree model registry and the registry lint driver.
 //!
 //! Every model the repository ships — the paper figures, the muddy
 //! children, the kpt-seqtrans models, the BDD-scale escape hatch, and the
 //! textual scenario zoo — together with the exact diagnostic codes the
 //! linter is expected to produce for it. The `kpt_lint` CLI turns these
 //! expectations into its exit code and CI asserts them.
-//!
-//! [`lint_registry`] lints all cases over the kpt-testkit worker pool
-//! (`KPT_THREADS` controls the width); reports come back in registry
-//! order regardless of the thread count, and every pass is deterministic,
-//! so a parallel run is bit-identical to a serial one.
 
 use kpt_seqtrans::{figure3_kbp, ModelOptions, StandardModel};
 use kpt_unity::Program;
@@ -101,7 +96,10 @@ pub fn registry() -> Vec<RegistryCase> {
         },
         RegistryCase {
             name: "bdd-escape",
-            program: escape_hatch_program(),
+            program: kpt_core::escape_hatch()
+                .expect("escape hatch builds")
+                .program()
+                .clone(),
             source: None,
             expected: &[],
         },
@@ -120,56 +118,9 @@ pub fn registry() -> Vec<RegistryCase> {
     cases
 }
 
-/// The 159-free-state instance from the symbolic-backend report: too large
-/// for the exhaustive solver's subset mask, routine for the BDD engine —
-/// and for the linter, whose symbolic pass runs on exactly this scale.
-fn escape_hatch_program() -> Program {
-    use kpt_state::StateSpace;
-    use kpt_unity::Statement;
-    let space = StateSpace::builder()
-        .nat_var("i", 80)
-        .unwrap()
-        .bool_var("done")
-        .unwrap()
-        .build()
-        .unwrap();
-    Program::builder("bdd-escape", &space)
-        .init_str("i = 0 && !done")
-        .unwrap()
-        .process("P", ["i"])
-        .unwrap()
-        .statement(
-            Statement::new("inc")
-                .guard_str("i < 79")
-                .unwrap()
-                .assign_str("i", "i + 1")
-                .unwrap(),
-        )
-        .statement(
-            Statement::new("finish")
-                .guard_str("K{P}(i >= 40)")
-                .unwrap()
-                .assign_str("done", "1")
-                .unwrap(),
-        )
-        .build()
-        .unwrap()
-}
-
-/// Lint every case over the kpt-testkit pool (width from `KPT_THREADS`,
-/// defaulting to the core count). Reports are in registry order.
+/// Lint every case, in registry order.
 pub fn lint_registry(cases: &[RegistryCase], options: &LintOptions) -> Vec<LintReport> {
-    kpt_testkit::pool::parallel_map(cases, |case| lint_case(case, options))
-}
-
-/// [`lint_registry`] with an explicit thread count (the determinism tests
-/// compare `threads = 1` against the default).
-pub fn lint_registry_with_threads(
-    threads: usize,
-    cases: &[RegistryCase],
-    options: &LintOptions,
-) -> Vec<LintReport> {
-    kpt_testkit::pool::parallel_map_with(threads, cases, |case| lint_case(case, options))
+    cases.iter().map(|case| lint_case(case, options)).collect()
 }
 
 fn lint_case(case: &RegistryCase, options: &LintOptions) -> LintReport {
@@ -182,18 +133,6 @@ fn lint_case(case: &RegistryCase, options: &LintOptions) -> LintReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_registry_lint_is_bit_identical_to_serial() {
-        let cases = registry();
-        let options = LintOptions::default();
-        let parallel = lint_registry(&cases, &options);
-        let serial = lint_registry_with_threads(1, &cases, &options);
-        assert_eq!(parallel.len(), serial.len());
-        for (p, s) in parallel.iter().zip(&serial) {
-            assert_eq!(p.to_json(), s.to_json(), "report for {} differs", p.program);
-        }
-    }
 
     #[test]
     fn registry_verdicts_hold_at_full_depth() {

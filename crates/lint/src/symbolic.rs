@@ -1,99 +1,69 @@
-//! Depth 3 — symbolic checks via `kpt-bdd` (`KPT007`-`KPT009`).
+//! Depth 4 — semantic checks against the erased strongest invariant
+//! (`KPT007`-`KPT009`).
 //!
 //! The knowledge modalities are erased at positive polarity (see
 //! [`crate::erase`]), which only weakens guards; the erased program's
 //! strongest invariant therefore *contains* the `SI` of every solution of
-//! the knowledge-based protocol (eq. 5, eq. 25). A guard unsatisfiable
-//! under that over-approximating `SI` is unsatisfiable under every
-//! solution's `SI` — genuinely dead code.
+//! the knowledge-based protocol (eq. 5, eq. 25, sound by eq. 14
+//! `[K_i p ⇒ p]`). A guard unsatisfiable under that over-approximating
+//! `SI` is unsatisfiable under every solution's `SI` — genuinely dead code.
+//!
+//! The erased program is knowledge-free, so its `SI` is exactly computable
+//! on the explicit tables it compiles to: the frontier fixpoint of
+//! [`kpt_unity::CompiledProgram::si`].
 
 use std::collections::BTreeSet;
 
-use kpt_bdd::{
-    symbolic_sst_bounded, symbolic_strongest_invariant, BddSpace, SymbolicEvalContext,
-    SymbolicPredicate, SymbolicTransition,
-};
 use kpt_logic::Formula;
 use kpt_state::{witness_state, Predicate, VarId};
 use kpt_unity::{Guard, Program, Statement};
 
-use crate::erase::{erase_knowledge, erased_program, eval_assign_rhs, top_level_knowledge};
+use crate::erase::{erased_program, eval_assign_rhs, guard_over_approx, top_level_knowledge};
 use crate::{Diagnostic, DiagnosticCode};
 
-/// Above this many states the race check stops enumerating overlap states
-/// and settles for the BDD's single witness.
-const MAX_ENUM_STATES: u64 = 1 << 20;
-/// At most this many overlap states are evaluated per statement pair.
+/// At most this many overlap states (in index order) are evaluated per
+/// statement pair.
 const MAX_OVERLAP_SAMPLES: usize = 1024;
 
-/// Run the symbolic checks. Assumes the declaration and view passes found
-/// no errors (the orchestrator skips this pass otherwise). Returns whether
-/// the pass completed — `false` only when `node_budget` tripped during the
-/// strongest-invariant fixpoint, in which case the KPT007/KPT008 findings
-/// are skipped (the syntactic KPT009 check has already run by then).
-pub fn check(program: &Program, node_budget: Option<usize>, diags: &mut Vec<Diagnostic>) -> bool {
+/// Run the semantic checks. Assumes the declaration and view passes found
+/// no errors (the orchestrator skips this pass otherwise). When the erased
+/// program does not compile, only the syntactic KPT009 check runs.
+pub fn check(program: &Program, diags: &mut Vec<Diagnostic>) {
     check_circularity(program, diags);
 
     let Ok(erased) = erased_program(program) else {
-        return true;
+        return;
     };
     let Ok(compiled) = erased.compile() else {
-        return true;
+        return;
     };
+    let si = compiled.si();
     let space = program.space();
-    let bdd = BddSpace::new(space);
-    let transitions: Vec<SymbolicTransition> = compiled
-        .transitions()
+    let guards: Vec<Option<Predicate>> = program
+        .statements()
         .iter()
-        .map(|t| SymbolicTransition::from_det(&bdd, t))
+        .map(|stmt| guard_over_approx(space, stmt))
         .collect();
-    let init = SymbolicPredicate::from_explicit(&bdd, compiled.init());
-    let si = match node_budget {
-        None => symbolic_strongest_invariant(&transitions, &init),
-        Some(budget) => match symbolic_sst_bounded(&init, &transitions, budget) {
-            Ok((si, _)) => si,
-            Err(_) => return false,
-        },
-    };
 
     // KPT007: a guard false everywhere in the over-approximating SI can
-    // never fire in any solution of the protocol.
-    let mut guards: Vec<Option<SymbolicPredicate>> = Vec::new();
-    for stmt in program.statements() {
-        let g = symbolic_guard(&bdd, stmt);
-        if let Some(g) = &g {
-            if g.and(&si).is_false() {
-                diags.push(Diagnostic::on_guard(
-                    DiagnosticCode::DeadGuard,
-                    stmt.name(),
-                    "guard is unsatisfiable within the strongest invariant of the \
-                     knowledge-erased program — the statement can never fire in \
-                     any solution of the protocol",
-                ));
-            }
+    // never fire in any solution of the protocol. `Guard::Always` is
+    // trivially live.
+    for (stmt, g) in program.statements().iter().zip(&guards) {
+        if matches!(stmt.guard(), Guard::Always) {
+            continue;
         }
-        guards.push(g);
-    }
-
-    check_races(program, diags, &si, &guards);
-    true
-}
-
-/// The knowledge-erased guard of `stmt` as a symbolic predicate. `None`
-/// for `Guard::Always` (trivially live, nothing to check) or when the
-/// formula does not evaluate.
-fn symbolic_guard(bdd: &std::sync::Arc<BddSpace>, stmt: &Statement) -> Option<SymbolicPredicate> {
-    match stmt.guard() {
-        Guard::Always => None,
-        Guard::Pred(p) => Some(SymbolicPredicate::from_explicit(bdd, p)),
-        Guard::Formula(f) => {
-            let erased = erase_knowledge(f, true).simplify();
-            SymbolicEvalContext::new(bdd)
-                .with_params(stmt.params())
-                .eval(&erased)
-                .ok()
+        if g.as_ref().is_some_and(|g| g.is_disjoint(si)) {
+            diags.push(Diagnostic::on_guard(
+                DiagnosticCode::DeadGuard,
+                stmt.name(),
+                "guard is unsatisfiable within the strongest invariant of the \
+                 knowledge-erased program — the statement can never fire in \
+                 any solution of the protocol",
+            ));
         }
     }
+
+    check_races(program, diags, si, &guards);
 }
 
 /// KPT008: two knowledge-free statements whose guards overlap inside the
@@ -101,12 +71,13 @@ fn symbolic_guard(bdd: &std::sync::Arc<BddSpace>, stmt: &Statement) -> Option<Sy
 /// overlap state — the nondeterministic scheduler makes the outcome racy.
 ///
 /// Knowledge-guarded statements are excluded: their enabledness depends on
-/// the solution's SI, so syntactic overlap proves nothing.
+/// the solution's SI, so syntactic overlap proves nothing. A guard that
+/// does not evaluate counts as always enabled.
 fn check_races(
     program: &Program,
     diags: &mut Vec<Diagnostic>,
-    si: &SymbolicPredicate,
-    guards: &[Option<SymbolicPredicate>],
+    si: &Predicate,
+    guards: &[Option<Predicate>],
 ) {
     let space = program.space();
     let stmts: Vec<&Statement> = program.statements().iter().collect();
@@ -127,21 +98,13 @@ fn check_races(
             if shared.is_empty() {
                 continue;
             }
-            let ga = guards[i].clone().unwrap_or_else(|| si.clone());
-            let gb = guards[j].clone().unwrap_or_else(|| si.clone());
-            let overlap = ga.and(&gb).and(si);
-            if overlap.is_false() {
+            let ga = guards[i].as_ref().unwrap_or(si);
+            let gb = guards[j].as_ref().unwrap_or(si);
+            let overlap = ga.and(gb).and(si);
+            let samples: Vec<u64> = overlap.iter().take(MAX_OVERLAP_SAMPLES).collect();
+            if samples.is_empty() {
                 continue;
             }
-            let samples: Vec<u64> = if space.num_states() > MAX_ENUM_STATES {
-                overlap.witness().into_iter().collect()
-            } else {
-                overlap
-                    .to_explicit()
-                    .iter()
-                    .take(MAX_OVERLAP_SAMPLES)
-                    .collect()
-            };
             'vars: for var in &shared {
                 let Ok(v) = space.var(var) else { continue };
                 let dom = space.domain(v).clone();

@@ -888,6 +888,9 @@ impl Server {
                         Ok(s) => s,
                         Err(_) => continue,
                     };
+                    // Nagle plus delayed ACK would stall any reply that
+                    // follows a progress frame by ~40 ms.
+                    let _ = stream.set_nodelay(true);
                     kpt_obs::counter!("server.conns").incr();
                     let write_half = match stream.try_clone() {
                         Ok(s) => s,

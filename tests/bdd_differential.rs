@@ -506,34 +506,10 @@ fn sifting_passes_a_node_budget_the_fixed_order_exhausts() {
 
 #[test]
 fn symbolic_solver_handles_search_too_large_instances() {
-    let space = StateSpace::builder()
-        .nat_var("i", 80)
+    let program = knowledge_pt::core::escape_hatch()
         .unwrap()
-        .bool_var("done")
-        .unwrap()
-        .build()
-        .unwrap();
-    let program = Program::builder("escape", &space)
-        .init_str("i = 0 && !done")
-        .unwrap()
-        .process("P", ["i"])
-        .unwrap()
-        .statement(
-            Statement::new("inc")
-                .guard_str("i < 79")
-                .unwrap()
-                .assign_str("i", "i + 1")
-                .unwrap(),
-        )
-        .statement(
-            Statement::new("finish")
-                .guard_str("K{P}(i >= 40)")
-                .unwrap()
-                .assign_str("done", "1")
-                .unwrap(),
-        )
-        .build()
-        .unwrap();
+        .program()
+        .clone();
 
     let explicit = Kbp::new(program.clone());
     let free = explicit.program().init().negate().count();

@@ -311,6 +311,33 @@ fn kpt008_write_write_race() {
 }
 
 #[test]
+fn kpt008_race_found_past_the_first_overlap_state_on_a_large_space() {
+    // 2^21 states. `clear` and `copy` agree wherever y = 0, including the
+    // lowest-indexed overlap state; the race shows only at y = 1, so the
+    // check must look past a single witness.
+    let space = StateSpace::builder()
+        .bool_var("y")
+        .unwrap()
+        .bool_var("x")
+        .unwrap()
+        .nat_var("z", 1 << 19)
+        .unwrap()
+        .build()
+        .unwrap();
+    let program = Program::builder("seed-008-large", &space)
+        .init_str("z = 0")
+        .unwrap()
+        .statement(Statement::new("clear").assign_str("x", "0").unwrap())
+        .statement(Statement::new("copy").assign_str("x", "y").unwrap())
+        .build()
+        .unwrap();
+    let report = knowledge_pt::lint::lint_program(&program);
+    assert_eq!(codes(&report), ["KPT008"]);
+    let witness = report.diagnostics[0].witnesses[0].to_string();
+    assert!(witness.contains("y=true"), "witness {witness}");
+}
+
+#[test]
 fn kpt009_figure1_circularity() {
     // The paper's Figure 1: `grant` is guarded by K₀(¬x) while `take` —
     // enabled by grant's own write — sets x. Eq. (25) is non-monotone and
@@ -517,35 +544,8 @@ fn healthy_models_are_clean() {
 fn escape_hatch_model_is_clean() {
     // The 159-free-state instance the exhaustive solver rejects: the
     // linter's symbolic pass must still handle it (and find nothing).
-    let space = StateSpace::builder()
-        .nat_var("i", 80)
-        .unwrap()
-        .bool_var("done")
-        .unwrap()
-        .build()
-        .unwrap();
-    let program = Program::builder("bdd-escape", &space)
-        .init_str("i = 0 && !done")
-        .unwrap()
-        .process("P", ["i"])
-        .unwrap()
-        .statement(
-            Statement::new("inc")
-                .guard_str("i < 79")
-                .unwrap()
-                .assign_str("i", "i + 1")
-                .unwrap(),
-        )
-        .statement(
-            Statement::new("finish")
-                .guard_str("K{P}(i >= 40)")
-                .unwrap()
-                .assign_str("done", "1")
-                .unwrap(),
-        )
-        .build()
-        .unwrap();
-    let report = knowledge_pt::lint::lint_program(&program);
+    let kbp = knowledge_pt::core::escape_hatch().unwrap();
+    let report = knowledge_pt::lint::lint_kbp(&kbp);
     assert!(report.is_clean(), "escape hatch: {report}");
     assert!(report.symbolic_ran);
 }
